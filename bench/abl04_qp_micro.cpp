@@ -1,5 +1,5 @@
 // Ablation 4 — QP solver micro-benchmarks: capped-simplex projection and
-// FISTA solve time vs problem size, plus the warm-start payoff that the
+// active-set solve time vs problem size, plus the warm-start payoff that the
 // cutting-plane loops rely on, and thread-count scaling of the end-to-end
 // centralized trainer (serial-equivalent parallelism — only time moves).
 #include <benchmark/benchmark.h>
@@ -69,10 +69,9 @@ void BM_QpSolveWarmStarted(benchmark::State& state) {
   const auto p = random_problem(n, std::max<std::size_t>(1, n / 16), n);
   const auto cold = qp::solve_capped_simplex_qp(p);
   qp::QpOptions options;
+  // The hot-path engine re-solves from the previous solution; benchmark the
+  // same configuration.
   options.warm_start = cold.solution;
-  // The hot-path engine re-solves with both the previous solution and the
-  // memoized Lipschitz estimate; benchmark the same configuration.
-  options.lipschitz = qp::lipschitz_estimate(p.hessian);
   for (auto _ : state) {
     benchmark::DoNotOptimize(qp::solve_capped_simplex_qp(p, options));
   }
@@ -85,7 +84,7 @@ BENCHMARK(BM_QpSolveWarmStarted)
     ->Apply(bench::bench_time_config);
 
 // Thread scaling of one full centralized CCCP run on a 20-user population.
-// The per-user separation oracle and Hessian row assembly dominate, so
+// The per-user separation oracle and sign fitting parallelize, so
 // wall-clock should drop roughly linearly until the core count is reached
 // (on a multi-core host; with a single core the times simply match).
 void BM_CentralizedCccpThreads(benchmark::State& state) {
@@ -149,13 +148,11 @@ void emit_bench_json() {
     micro.cases["qp_solve_n256"] = bench_case;
 
     // Warm re-solve in the exact hot-path configuration: previous solution
-    // as warm start plus the memoized Lipschitz estimate. The obs counters
-    // turn the cache claims into exact gated evidence — every timed solve
-    // must take the iteration-0 warm exit (warm_hit_rate == 1) and reuse
-    // the supplied Lipschitz constant (lipschitz_reuse_rate == 1).
+    // as warm start. The obs counters turn the cache claim into exact gated
+    // evidence — every timed solve must take the iteration-0 warm exit
+    // (warm_hit_rate == 1).
     qp::QpOptions warm_options;
     warm_options.warm_start = result.solution;
-    warm_options.lipschitz = qp::lipschitz_estimate(problem.hessian);
     qp::QpResult warm_result;
     bench::BenchCase warm_case;
     auto& registry = obs::metrics();
@@ -168,16 +165,12 @@ void emit_bench_json() {
         registry.counter("qp.capped_simplex.solves").value();
     const double warm_hits =
         registry.counter("qp.capped_simplex.warm_hits").value();
-    const double lipschitz_reuses =
-        registry.counter("qp.capped_simplex.lipschitz_reuses").value();
     registry.set_enabled(false);
     warm_case.counters["n"] = static_cast<double>(n);
     warm_case.counters["iterations"] =
         static_cast<double>(warm_result.iterations);
     warm_case.counters["warm_hit_rate"] =
         warm_solves > 0.0 ? warm_hits / warm_solves : 0.0;
-    warm_case.counters["lipschitz_reuse_rate"] =
-        warm_solves > 0.0 ? lipschitz_reuses / warm_solves : 0.0;
     micro.cases["qp_solve_warm_n256"] = warm_case;
   }
   bench::write_bench_suite(micro);

@@ -62,6 +62,8 @@ void append_bench_manifest(const data::MultiUserDataset& dataset,
   manifest.results["cccp_rounds"] =
       static_cast<double>(diagnostics.cccp_iterations);
   manifest.results["qp_solves"] = static_cast<double>(diagnostics.qp_solves);
+  manifest.results["qp_unconverged"] =
+      static_cast<double>(diagnostics.qp_unconverged);
   if (!diagnostics.objective_trace.empty()) {
     manifest.results["final_objective"] = diagnostics.objective_trace.back();
   }

@@ -262,44 +262,52 @@ AsyncQuorumResult train_async_quorum_plos(const data::MultiUserDataset& dataset,
         }
       };
 
-      // -- fold late uploads that have arrived by now ----------------------
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (!pending[t].active) continue;
-        if (pending[t].arrival > virtual_seconds) {
-          status[t] = core::kBusy;  // still in flight; not re-dispatched
-          continue;
-        }
-        pending[t].active = false;
-        const std::uint64_t age = aggregation_step - pending[t].data_step;
-        if (age > staleness_bound_now) {
-          // The cached upload is older than the bound: discard it and
-          // evict the block outright — applying it would let data older
-          // than S steps into the aggregate.
-          evict(t, pending[t].cause);
+      // -- fold late uploads that have arrived by `now` --------------------
+      // Runs at the step's start, before dispatch, and again at the cut, so
+      // the aggregate holds every upload the server has by then. Uploads
+      // stashed at this step's own cut are skipped: they missed it (or
+      // their deadline) and fold into a later aggregate.
+      const auto fold_arrived = [&](double now) {
+        for (std::size_t t = 0; t < num_users; ++t) {
+          if (!pending[t].active) continue;
+          if (pending[t].data_step == aggregation_step) continue;
+          if (pending[t].arrival > now) {
+            status[t] = core::kBusy;  // still in flight; not re-dispatched
+            continue;
+          }
+          pending[t].active = false;
+          const std::uint64_t age = aggregation_step - pending[t].data_step;
+          if (age > staleness_bound_now) {
+            // The cached upload is older than the bound: discard it and
+            // evict the block outright — applying it would let data older
+            // than S steps into the aggregate.
+            evict(t, pending[t].cause);
+            status[t] = pending[t].cause;
+            continue;
+          }
+          w[t] = std::move(pending[t].sol.w);
+          v[t] = std::move(pending[t].sol.v);
+          xi[t] = pending[t].sol.xi;
+          // Staleness-discounted dual refresh: an upload computed `age`
+          // steps ago moves u_t with weight 1 / (1 + age).
+          late_weight[t] = 1.0 / (1.0 + static_cast<double>(age));
+          staleness.refresh(t, pending[t].data_step);
+          ++late_count;
           status[t] = pending[t].cause;
-          continue;
+          if (flight != nullptr) {
+            obs::FlightEvent event;
+            event.round = aggregation_step;
+            event.device = static_cast<std::uint32_t>(t);
+            event.kind = obs::FlightEventKind::kLateFold;
+            event.cause = static_cast<int>(pending[t].cause);
+            event.t_start = pending[t].arrival;
+            event.t_end = now;
+            event.staleness = age;
+            flight->record(event);
+          }
         }
-        w[t] = std::move(pending[t].sol.w);
-        v[t] = std::move(pending[t].sol.v);
-        xi[t] = pending[t].sol.xi;
-        // Staleness-discounted dual refresh: an upload computed `age`
-        // steps ago moves u_t with weight 1 / (1 + age).
-        late_weight[t] = 1.0 / (1.0 + static_cast<double>(age));
-        staleness.refresh(t, pending[t].data_step);
-        ++late_count;
-        status[t] = pending[t].cause;
-        if (flight != nullptr) {
-          obs::FlightEvent event;
-          event.round = aggregation_step;
-          event.device = static_cast<std::uint32_t>(t);
-          event.kind = obs::FlightEventKind::kLateFold;
-          event.cause = static_cast<int>(pending[t].cause);
-          event.t_start = pending[t].arrival;
-          event.t_end = virtual_seconds;
-          event.staleness = age;
-          flight->record(event);
-        }
-      }
+      };
+      fold_arrived(virtual_seconds);
 
       // -- dispatch: scatter, local solves, gather (buffered) --------------
       // Same per-device code path as the synchronous engine; solutions are
@@ -521,6 +529,9 @@ AsyncQuorumResult train_async_quorum_plos(const data::MultiUserDataset& dataset,
         }
       }
       virtual_seconds += t_cut;
+      // Uploads from earlier steps that landed before the cut join this
+      // aggregate: the server holds them already.
+      fold_arrived(virtual_seconds);
 
       // -- bounded staleness: evict blocks that aged past the bound --------
       // Runs before the server update, so no block older than S steps ever
@@ -761,6 +772,14 @@ AsyncQuorumResult train_async_quorum_plos(const data::MultiUserDataset& dataset,
     previous_cccp_objective = objective;
   }
   result.diagnostics.qp_solves = total_device_qp_solves();
+  for (const core::AdmmDevice& device : devices) {
+    result.diagnostics.qp_unconverged += device.qp_unconverged();
+  }
+  if (result.diagnostics.qp_unconverged > 0) {
+    PLOS_LOG_WARN("device QP solves stopped unconverged",
+                  obs::F("qp_unconverged", result.diagnostics.qp_unconverged),
+                  obs::F("qp_solves", result.diagnostics.qp_solves));
+  }
 
   result.model.global_weights = w0;
   for (std::size_t t = 0; t < num_users; ++t) {

@@ -12,9 +12,9 @@
 //     kind); the server aggregates as soon as a configurable quorum of
 //     on-time uploads has arrived, cutting the round at that event's time;
 //   * uploads that miss the cut (or their per-device deadline) are not
-//     lost: they arrive later on the virtual clock and are folded into a
-//     subsequent aggregate with a staleness-discounted dual update, weight
-//     1 / (1 + age);
+//     lost: they arrive later on the virtual clock and are folded into the
+//     first aggregate cut after they land, with a staleness-discounted dual
+//     update, weight 1 / (1 + age);
 //   * bounded staleness: a server block whose data is older than
 //     `staleness_bound` aggregation steps is evicted — reset to the
 //     consensus (w_t = w0, v_t = 0, ξ_t = 0, u_t = 0) — and the device

@@ -94,7 +94,6 @@ void AdmmDevice::begin_cccp_round(std::span<const double> current_weights,
   plane_ids_.clear();
   hessian_ = linalg::Matrix();
   linear_.clear();
-  lipschitz_ = 0.0;
   previous_gamma_.clear();
 }
 
@@ -142,21 +141,16 @@ AdmmDevice::LocalSolution AdmmDevice::solve(std::span<const double> w0,
 void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
   const std::size_t a = working_set_.size();
   const std::uint32_t id = gram_.intern(plane.s);
-  // Extend the prox-QP Hessian (already scaled by κ) by one border
+  // Border the prox-QP Hessian (already scaled by κ) in place by one
   // row/column through the Gram cache: a plane re-derived from an earlier
   // round serves its whole border from memo.
-  linalg::Matrix h(a + 1, a + 1);
-  for (std::size_t i = 0; i < a; ++i) {
-    for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-  }
+  hessian_.grow_square(a + 1);
   for (std::size_t i = 0; i < a; ++i) {
     const double entry = kappa_ * gram_.dot(plane_ids_[i], id);
-    h(i, a) = entry;
-    h(a, i) = entry;
+    hessian_(i, a) = entry;
+    hessian_(a, i) = entry;
   }
-  h(a, a) = kappa_ * gram_.dot(id, id);
-  hessian_ = std::move(h);
-  lipschitz_ = 0.0;  // Hessian version changed
+  hessian_(a, a) = kappa_ * gram_.dot(id, id);
   linear_.push_back(plane.offset - linalg::dot(plane.s, d));
   // The new dual variable resumes from the γ this plane converged to in
   // the previous CCCP round (0 if it was never in the working set).
@@ -168,8 +162,9 @@ void AdmmDevice::add_plane(CuttingPlane plane, const linalg::Vector& d) {
 
 void AdmmDevice::solve_dual(const linalg::Vector& d, LocalSolution& sol) {
   const std::size_t n = working_set_.size();
+  // The Hessian is lent to the problem for the solve, not copied.
   qp::CappedSimplexQpProblem problem;
-  problem.hessian = hessian_;
+  problem.hessian = std::move(hessian_);
   problem.linear = linear_;
   problem.groups.resize(1);
   problem.groups[0].resize(n);
@@ -179,19 +174,11 @@ void AdmmDevice::solve_dual(const linalg::Vector& d, LocalSolution& sol) {
   qp::QpOptions qp_options = options_->qp;
   qp_options.warm_start = previous_gamma_;
   qp_options.warm_start.resize(n, 0.0);
-  if (gram_.memoize()) {
-    // Lipschitz memo per working-set version: re-solves of an unchanged
-    // Hessian (every late ADMM iteration) skip the power iteration.
-    // Bitwise-neutral — lipschitz_estimate is a pure function of H, and
-    // checked builds re-derive and compare (see QpOptions::lipschitz).
-    if (lipschitz_ == 0.0) {
-      lipschitz_ = qp::lipschitz_estimate(problem.hessian);
-    }
-    qp_options.lipschitz = lipschitz_;
-  }
   const qp::QpResult result = qp::solve_capped_simplex_qp(problem, qp_options);
+  hessian_ = std::move(problem.hessian);
   ++qp_solves_;
   qp_iterations_ += result.iterations;
+  if (!result.converged) ++qp_unconverged_;
   previous_gamma_ = result.solution;
 
   linalg::Vector g = linalg::zeros(d.size());

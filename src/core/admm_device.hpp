@@ -12,7 +12,7 @@
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
 // cutting-plane working set of the current CCCP round, and the hot-path
 // state of DESIGN.md §13 (device-owned Gram cache, trainer-owned WarmStore
-// slot, Lipschitz memo per working-set version). Under the thread pool's
+// slot). Under the thread pool's
 // static chunking each device is touched by exactly one worker per round,
 // so none of this needs locking.
 #pragma once
@@ -87,8 +87,11 @@ class AdmmDevice {
   /// Cumulative dual QP solves this device has performed.
   int qp_solves() const { return qp_solves_; }
 
-  /// Cumulative QP inner iterations across those solves.
+  /// Cumulative QP active-set steps across those solves.
   int qp_iterations() const { return qp_iterations_; }
+
+  /// Of those solves, how many returned QpResult::converged == false.
+  int qp_unconverged() const { return qp_unconverged_; }
 
   /// Cutting planes currently in the device's working set.
   std::size_t working_set_size() const { return working_set_.size(); }
@@ -107,13 +110,13 @@ class AdmmDevice {
   std::vector<std::uint32_t> plane_ids_;  ///< interned id per working-set slot
   linalg::Matrix hessian_;   ///< κ ⟨s_i, s_j⟩ over the working set
   linalg::Vector linear_;    ///< b_i − ⟨s_i, d⟩ at the current prox center
-  double lipschitz_ = 0.0;   ///< memoized λmax(hessian_); 0 = stale
   linalg::Vector previous_gamma_;
   PlaneGramCache gram_;      ///< persists across CCCP rounds
   qp::WarmStore* warm_;      ///< trainer-owned; this device's slot is slot_
   std::size_t slot_;
   int qp_solves_ = 0;
   int qp_iterations_ = 0;
+  int qp_unconverged_ = 0;
 };
 
 /// Server-side freshness bookkeeping behind the journal's staleness

@@ -36,40 +36,19 @@ class DualState {
 
   std::size_t size() const { return planes_.size(); }
 
-  void add_constraint(std::size_t user, CuttingPlane plane,
-                      parallel::ThreadPool& pool) {
-    const std::size_t a = planes_.size();
-    const std::uint32_t id = gram_->intern(plane.s);
-    // Extend the Hessian by one row/column. Row copies parallelize (each
-    // worker owns disjoint rows), but the border dots run on the calling
-    // thread: they mutate the shared Gram cache, which is single-owner by
-    // contract — and after the first CCCP round they are mostly memo hits.
-    linalg::Matrix h(a + 1, a + 1);
-    pool.parallel_for(a, [&](std::size_t i) {
-      for (std::size_t j = 0; j < a; ++j) h(i, j) = hessian_(i, j);
-    });
-    for (std::size_t i = 0; i < a; ++i) {
-      const double d = gram_->dot(ids_[i], id);
-      const double entry =
-          (lambda_over_t_ + (planes_[i].user == user ? 1.0 : 0.0)) * d;
-      h(i, a) = entry;
-      h(a, i) = entry;
+  /// Adds one constraint per violated user, in ascending user order (the
+  /// exact serial sequence). The Hessian is bordered in place once for the
+  /// whole batch. False when no user was violated.
+  bool add_violated(std::vector<CuttingPlane>& separated,
+                    const std::vector<char>& violated) {
+    std::size_t count = 0;
+    for (const char v : violated) count += v != 0 ? 1 : 0;
+    if (count == 0) return false;
+    hessian_.grow_square(planes_.size() + count);
+    for (std::size_t t = 0; t < violated.size(); ++t) {
+      if (violated[t] != 0) add_constraint(t, std::move(separated[t]));
     }
-    h(a, a) = (lambda_over_t_ + 1.0) * gram_->dot(id, id);
-    // The bordered Hessian stays positive semidefinite only if the new
-    // diagonal entry (a Gram self-product) is finite and non-negative.
-    PLOS_DCHECK(std::isfinite(h(a, a)) && h(a, a) >= 0.0,
-                "DualState: bad Hessian border diagonal " << h(a, a));
-    hessian_ = std::move(h);
-
-    linear_.push_back(plane.offset);
-    groups_[user].push_back(a);
-    // New dual variables start from the γ this plane converged to the last
-    // time it was in user's working set (0 if never) instead of flat zero.
-    previous_gamma_.push_back(warm_->seed(user, id));
-    ids_.push_back(id);
-    planes_.push_back({user, std::move(plane)});
-    count_constraint_added();
+    return true;
   }
 
   /// Persists each user's current duals keyed by interned plane id, so the
@@ -90,8 +69,9 @@ class DualState {
 
   /// Solves the dual and recovers (w0, v_t) into `model`.
   qp::QpResult solve(PersonalizedModel& model, const qp::QpOptions& base) {
+    // The Hessian is lent to the problem for the solve, not copied.
     qp::CappedSimplexQpProblem problem;
-    problem.hessian = hessian_;
+    problem.hessian = std::move(hessian_);
     problem.linear = linear_;
     for (const auto& g : groups_) {
       if (g.empty()) continue;  // users without constraints impose nothing
@@ -103,6 +83,7 @@ class DualState {
     options.warm_start = previous_gamma_;
     options.warm_start.resize(size(), 0.0);
     qp::QpResult result = qp::solve_capped_simplex_qp(problem, options);
+    hessian_ = std::move(problem.hessian);
     previous_gamma_ = result.solution;
 
     // Primal recovery: w0 = (λ/T) Σ γ s, v_t = Σ_{k∈t} γ s.
@@ -129,6 +110,36 @@ class DualState {
   }
 
  private:
+  /// Appends one variable: its Hessian row/column (into space already
+  /// bordered by add_violated), linear coefficient, group slot, and warm
+  /// seed. The border dots run through the shared Gram cache — after the
+  /// first CCCP round they are mostly memo hits.
+  void add_constraint(std::size_t user, CuttingPlane plane) {
+    const std::size_t a = planes_.size();
+    const std::uint32_t id = gram_->intern(plane.s);
+    for (std::size_t i = 0; i < a; ++i) {
+      const double d = gram_->dot(ids_[i], id);
+      const double entry =
+          (lambda_over_t_ + (planes_[i].user == user ? 1.0 : 0.0)) * d;
+      hessian_(i, a) = entry;
+      hessian_(a, i) = entry;
+    }
+    hessian_(a, a) = (lambda_over_t_ + 1.0) * gram_->dot(id, id);
+    // The bordered Hessian stays positive semidefinite only if the new
+    // diagonal entry (a Gram self-product) is finite and non-negative.
+    PLOS_DCHECK(std::isfinite(hessian_(a, a)) && hessian_(a, a) >= 0.0,
+                "DualState: bad Hessian border diagonal " << hessian_(a, a));
+
+    linear_.push_back(plane.offset);
+    groups_[user].push_back(a);
+    // New dual variables start from the γ this plane converged to the last
+    // time it was in user's working set (0 if never) instead of flat zero.
+    previous_gamma_.push_back(warm_->seed(user, id));
+    ids_.push_back(id);
+    planes_.push_back({user, std::move(plane)});
+    count_constraint_added();
+  }
+
   struct Entry {
     std::size_t user;
     CuttingPlane plane;
@@ -314,18 +325,13 @@ CentralizedPlosResult train_centralized_plos(
           }
         });
       }
-      bool added = false;
-      for (std::size_t t = 0; t < num_users; ++t) {
-        if (!violated[t]) continue;
-        dual.add_constraint(t, std::move(separated[t]), pool);
-        added = true;
-      }
-      if (!added) break;
+      if (!dual.add_violated(separated, violated)) break;
 
       {
         PLOS_SPAN("plos.dual_solve");
-        round_qp_iterations +=
-            dual.solve(result.model, options.qp).iterations;
+        const qp::QpResult solved = dual.solve(result.model, options.qp);
+        round_qp_iterations += solved.iterations;
+        if (!solved.converged) ++result.diagnostics.qp_unconverged;
       }
       ++result.diagnostics.qp_solves;
       pool.parallel_for(num_users, [&](std::size_t t) {
@@ -393,6 +399,11 @@ CentralizedPlosResult train_centralized_plos(
   }
 
   result.diagnostics.train_seconds = watch.elapsed_seconds();
+  if (result.diagnostics.qp_unconverged > 0) {
+    PLOS_LOG_WARN("dual QP solves stopped unconverged",
+                  obs::F("qp_unconverged", result.diagnostics.qp_unconverged),
+                  obs::F("qp_solves", result.diagnostics.qp_solves));
+  }
   PLOS_LOG_INFO("centralized train done",
                 obs::F("cccp_rounds", result.diagnostics.cccp_iterations),
                 obs::F("qp_solves", result.diagnostics.qp_solves),

@@ -42,12 +42,12 @@ struct CentralizedPlosOptions {
   /// from inheriting w0's systematic per-user errors.
   bool cluster_sign_initialization = true;
   std::uint64_t seed = 99;  ///< cluster-init / no-label fallback randomness
-  /// Worker threads for per-user separation, CCCP sign fitting, and dual
-  /// Hessian row assembly. 0 = all hardware threads, 1 = legacy serial.
+  /// Worker threads for per-user separation and CCCP sign fitting.
+  /// 0 = all hardware threads, 1 = legacy serial.
   /// Results are bitwise identical for every value (see DESIGN.md §8).
   int num_threads = 1;
-  /// Master switch for the bitwise-transparent hot-path caches: Gram dot
-  /// memoization and cached Lipschitz estimates (DESIGN.md §13). Models
+  /// Master switch for the bitwise-transparent hot-path cache: Gram dot
+  /// memoization (DESIGN.md §13). Models
   /// and journals are bitwise identical either way — the flag exists so
   /// the equivalence suite and PLOS_NO_HOTPATH_CACHE runs can prove that.
   /// Plane interning and cross-round QP warm starts are algorithm state
@@ -68,6 +68,8 @@ struct PlosDiagnostics {
   std::vector<double> objective_trace;  ///< objective after each CCCP round
   int cccp_iterations = 0;
   int qp_solves = 0;
+  /// Dual solves whose QpResult::converged was false (0 on a healthy run).
+  int qp_unconverged = 0;
   std::size_t final_constraint_count = 0;
   double train_seconds = 0.0;
   /// Per-CCCP-round breakdown (one entry per *started* round, including a

@@ -53,7 +53,7 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
 
   std::vector<CuttingPlane> working_set;
   std::vector<std::uint32_t> plane_ids;
-  linalg::Matrix dots;
+  linalg::Matrix hessian;      // κ ⟨s_i, s_j⟩, bordered in place per plane
   linalg::Vector linear_base;  // b_i − ⟨s_i, w0⟩, fixed once a plane enters
   linalg::Vector gamma;
   linalg::Vector v = linalg::zeros(dim);
@@ -64,45 +64,37 @@ LocalDeviationFit fit_local_deviation(const PlosUserContext& ctx,
         most_violated_constraint(ctx, signs, fit.weights, cl, cu);
     if (constraint_violation(plane, fit.weights, xi) <= epsilon) break;
 
-    // Extend the ⟨s_i, s_j⟩ matrix with the new plane through the Gram
-    // cache: a bitwise re-derivation of a known plane serves its whole row
-    // from memo instead of recomputing a dot per existing plane.
+    // Border the Hessian with the new plane through the Gram cache: a
+    // bitwise re-derivation of a known plane serves its whole row from
+    // memo instead of recomputing a dot per existing plane.
     const std::size_t a = working_set.size();
     const std::uint32_t id = gram.intern(plane.s);
-    linalg::Matrix next(a + 1, a + 1);
+    hessian.grow_square(a + 1);
     for (std::size_t i = 0; i < a; ++i) {
-      for (std::size_t j = 0; j < a; ++j) next(i, j) = dots(i, j);
+      const double entry = kappa * gram.dot(plane_ids[i], id);
+      hessian(i, a) = entry;
+      hessian(a, i) = entry;
     }
-    for (std::size_t i = 0; i < a; ++i) {
-      const double d = gram.dot(plane_ids[i], id);
-      next(i, a) = d;
-      next(a, i) = d;
-    }
-    next(a, a) = gram.dot(id, id);
-    dots = std::move(next);
+    hessian(a, a) = kappa * gram.dot(id, id);
     working_set.push_back(plane);
     plane_ids.push_back(id);
     linear_base.push_back(plane.offset -
                           linalg::dot(plane.s, global_weights));
     count_constraint_added();
 
-    // Dual: max Σγ(b_c − s_c·w0) − ½ κ ||Σγs||², γ ≥ 0, Σγ ≤ 1.
+    // Dual: max Σγ(b_c − s_c·w0) − ½ κ ||Σγs||², γ ≥ 0, Σγ ≤ 1. The
+    // Hessian is lent to the problem for the solve, not copied.
     const std::size_t n = working_set.size();
     qp::CappedSimplexQpProblem problem;
-    problem.hessian = linalg::Matrix(n, n);
-    problem.linear.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        problem.hessian(i, j) = kappa * dots(i, j);
-      }
-      problem.linear[i] = linear_base[i];
-    }
+    problem.hessian = std::move(hessian);
+    problem.linear = linear_base;
     problem.groups = {std::vector<std::size_t>(n)};
     for (std::size_t i = 0; i < n; ++i) problem.groups[0][i] = i;
     problem.caps = {1.0};
     qp::QpOptions qp_options{1e-7, 3000, gamma};
     qp_options.warm_start.resize(n, 0.0);
     const qp::QpResult result = qp::solve_capped_simplex_qp(problem, qp_options);
+    hessian = std::move(problem.hessian);
     gamma = result.solution;
     // Dual feasibility of the working-set QP: γ ≥ 0, Σγ ≤ 1 (the QP solver
     // re-verifies its own bounds; this guards the hand-off).

@@ -469,6 +469,14 @@ DistributedPlosResult train_distributed_impl(
     previous_cccp_objective = objective;
   }
   result.diagnostics.qp_solves = total_device_qp_solves();
+  for (const AdmmDevice& device : devices) {
+    result.diagnostics.qp_unconverged += device.qp_unconverged();
+  }
+  if (result.diagnostics.qp_unconverged > 0) {
+    PLOS_LOG_WARN("device QP solves stopped unconverged",
+                  obs::F("qp_unconverged", result.diagnostics.qp_unconverged),
+                  obs::F("qp_solves", result.diagnostics.qp_solves));
+  }
 
   result.model.global_weights = w0;
   for (std::size_t t = 0; t < num_users; ++t) {

@@ -67,8 +67,8 @@ struct DistributedPlosOptions {
   /// ledgers, and traces are bitwise identical for every value; only real
   /// wall time changes (see DESIGN.md §8).
   int num_threads = 1;
-  /// See CentralizedPlosOptions::hotpath_cache: disables the Gram-dot and
-  /// Lipschitz memoization (bitwise-identical results, just slower); plane
+  /// See CentralizedPlosOptions::hotpath_cache: disables the Gram-dot
+  /// memoization (bitwise-identical results, just slower); plane
   /// interning and cross-round warm starts stay on in both flavors.
   bool hotpath_cache = true;
   /// Telemetry sinks, both optional and borrowed. The journal receives
@@ -86,6 +86,7 @@ struct DistributedPlosDiagnostics {
   int cccp_iterations = 0;
   int admm_iterations_total = 0;  ///< summed over CCCP rounds
   int qp_solves = 0;              ///< device dual QP solves, all devices
+  int qp_unconverged = 0;         ///< of those, solves not converged
   std::vector<double> objective_trace;        ///< per ADMM iteration
   std::vector<double> primal_residual_trace;  ///< ||r|| per ADMM iteration
   std::vector<double> dual_residual_trace;    ///< ||s|| per ADMM iteration

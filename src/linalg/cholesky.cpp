@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "linalg/kernels.hpp"
 
 namespace plos::linalg {
 
@@ -66,6 +67,51 @@ std::optional<Vector> solve_spd(const Matrix& a, std::span<const double> b) {
   auto l = cholesky(a);
   if (!l) return std::nullopt;
   return cholesky_solve(*l, b);
+}
+
+bool cholesky_append_row(std::span<const double> l, std::size_t stride,
+                         std::size_t n, std::span<double> row,
+                         double pivot_floor) {
+  PLOS_CHECK(n < stride && l.size() >= n * stride && row.size() > n,
+             "cholesky_append_row: size mismatch");
+  // Row-oriented (Cholesky–Banachiewicz): the new row depends only on the
+  // rows above it, and every product is a dot of two contiguous prefixes.
+  for (std::size_t j = 0; j < n; ++j) {
+    row[j] = (row[j] - kernels::blocked_dot(row.first(j),
+                                            l.subspan(j * stride, j))) /
+             l[j * stride + j];
+  }
+  const double diagonal = row[n];
+  const double pivot = diagonal - kernels::blocked_squared_norm(row.first(n));
+  // Written so a NaN pivot fails too.
+  if (!(pivot > std::max(0.0, pivot_floor * diagonal)) ||
+      !std::isfinite(pivot)) {
+    return false;
+  }
+  row[n] = std::sqrt(pivot);
+  return true;
+}
+
+void cholesky_forward_in_place(std::span<const double> l, std::size_t stride,
+                               std::size_t n, std::span<double> b) {
+  PLOS_CHECK(n <= stride && l.size() >= n * stride && b.size() >= n,
+             "cholesky_forward_in_place: size mismatch");
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = (b[i] - kernels::blocked_dot(l.subspan(i * stride, i), b.first(i))) /
+           l[i * stride + i];
+  }
+}
+
+void cholesky_backward_in_place(std::span<const double> l, std::size_t stride,
+                                std::size_t n, std::span<double> b) {
+  PLOS_CHECK(n <= stride && l.size() >= n * stride && b.size() >= n,
+             "cholesky_backward_in_place: size mismatch");
+  // Column-oriented so row i of L is read contiguously: once x_i is final,
+  // remove its share from the entries above it.
+  for (std::size_t i = n; i-- > 0;) {
+    b[i] /= l[i * stride + i];
+    kernels::blocked_axpy(-b[i], l.subspan(i * stride, i), b.first(i));
+  }
 }
 
 }  // namespace plos::linalg

@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -43,6 +44,26 @@ std::span<double> Matrix::row(std::size_t i) {
 std::span<const double> Matrix::row(std::size_t i) const {
   PLOS_CHECK(i < rows_, "Matrix::row: index out of range");
   return {data_.data() + i * cols_, cols_};
+}
+
+void Matrix::grow_square(std::size_t n) {
+  PLOS_CHECK(rows_ == cols_, "grow_square: matrix must be square");
+  PLOS_CHECK(n >= rows_, "grow_square: cannot shrink");
+  const std::size_t old = rows_;
+  data_.resize(n * n, 0.0);
+  // Last row first: row i's new home [i·n, i·n + old) never overlaps the
+  // old homes of rows < i, which are still to be moved.
+  for (std::size_t i = old; i-- > 1;) {
+    const auto src = data_.begin() + static_cast<std::ptrdiff_t>(i * old);
+    std::copy_backward(src, src + static_cast<std::ptrdiff_t>(old),
+                       data_.begin() + static_cast<std::ptrdiff_t>(i * n + old));
+  }
+  for (std::size_t i = 0; i < old; ++i) {
+    std::fill(data_.begin() + static_cast<std::ptrdiff_t>(i * n + old),
+              data_.begin() + static_cast<std::ptrdiff_t>((i + 1) * n), 0.0);
+  }
+  rows_ = n;
+  cols_ = n;
 }
 
 Vector Matrix::col(std::size_t j) const {

@@ -39,6 +39,12 @@ class Matrix {
 
   std::span<const double> data() const { return data_; }
 
+  /// Grows a square matrix to n x n in place: every existing (i, j) entry
+  /// keeps its value bit for bit, the new border is zero. Rows move within
+  /// the one buffer (capacity grows geometrically), so bordering a matrix
+  /// one row/column at a time allocates O(log n) times, not n times.
+  void grow_square(std::size_t n);
+
   /// this * x (matrix-vector product).
   Vector matvec(std::span<const double> x) const;
 

@@ -3,9 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/stopwatch.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "linalg/kernels.hpp"
 #include "qp/projection.hpp"
 
 namespace plos::qp {
@@ -26,114 +24,37 @@ linalg::Vector gradient(const BoxQpProblem& p, std::span<const double> x) {
 }  // namespace
 
 QpResult solve_box_qp(const BoxQpProblem& problem, const QpOptions& options) {
-  PLOS_SPAN("qp.box_solve");
-  const Stopwatch watch;
   const std::size_t n = problem.linear.size();
   PLOS_CHECK(problem.hessian.rows() == n && problem.hessian.cols() == n,
              "BoxQp: hessian/linear size mismatch");
   PLOS_CHECK(problem.lo <= problem.hi, "BoxQp: lo > hi");
 
-  QpResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  static obs::Counter& lipschitz_reuses =
-      obs::metrics().counter("qp.box.lipschitz_reuses");
-  static obs::Counter& warm_hits = obs::metrics().counter("qp.box.warm_hits");
-  double lips = options.lipschitz;
-  if (lips > 0.0) {
-    PLOS_DCHECK(lips == lipschitz_estimate(problem.hessian),
-                "QpOptions::lipschitz " << lips
-                                        << " != fresh estimate — stale cache");
-    lipschitz_reuses.increment();
-  } else {
-    lips = lipschitz_estimate(problem.hessian);
-  }
-  const double step = 1.0 / lips;
-
-  linalg::Vector x(n, 0.0);
-  if (!options.warm_start.empty()) {
-    PLOS_CHECK(options.warm_start.size() == n,
-               "BoxQp: warm start size mismatch");
-    x = options.warm_start;
-  }
-  project_box(x, problem.lo, problem.hi);
-  linalg::Vector y = x;
-  linalg::Vector x_prev = x;
-  double momentum = 1.0;
-  double f_prev = objective(problem, x);
-
-  // Iteration-0 convergence test — mirrors the capped-simplex solver: a
-  // converged (projected) warm start returns unchanged after 0 iterations.
-  {
-    linalg::Vector probe = x;
-    linalg::axpy(-step, gradient(problem, x), probe);
-    project_box(probe, problem.lo, problem.hi);
-    const double pg_step0 =
-        std::sqrt(linalg::squared_distance(probe, x)) / step;
-    if (pg_step0 <= options.tolerance * (1.0 + std::abs(f_prev))) {
-      result.converged = true;
-      if (!options.warm_start.empty()) warm_hits.increment();
-    }
-  }
-
-  for (int it = 0; !result.converged && it < options.max_iterations; ++it) {
-    const linalg::Vector grad_y = gradient(problem, y);
-    linalg::Vector x_next = y;
-    linalg::axpy(-step, grad_y, x_next);
-    project_box(x_next, problem.lo, problem.hi);
-
-    linalg::Vector probe = x_next;
-    linalg::axpy(-step, gradient(problem, x_next), probe);
-    project_box(probe, problem.lo, problem.hi);
-    const double pg_step =
-        std::sqrt(linalg::squared_distance(probe, x_next)) / step;
-
-    const double f_next = objective(problem, x_next);
-    if (f_next > f_prev) {
-      momentum = 1.0;
-      y = x_next;
-    } else {
-      const double momentum_next =
-          0.5 * (1.0 + std::sqrt(1.0 + 4.0 * momentum * momentum));
-      const double beta = (momentum - 1.0) / momentum_next;
-      y = x_next;
-      for (std::size_t i = 0; i < n; ++i) y[i] += beta * (x_next[i] - x_prev[i]);
-      momentum = momentum_next;
-    }
-    x_prev = x;
-    x = x_next;
-    f_prev = f_next;
-    result.iterations = it + 1;
-
-    if (pg_step <= options.tolerance * (1.0 + std::abs(f_next))) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.solution = std::move(x);
-  result.objective = PLOS_CHECK_FINITE(objective(problem, result.solution));
-
-  // Checked-build postcondition: projection kept every coordinate inside
-  // the box (exact — project_box clamps, no arithmetic slack needed).
+  // Shift to y = x − lo: f(y + lo) = ½ yᵀHy − (c − H·lo)ᵀy + const.
+  CappedSimplexQpProblem shifted;
+  shifted.hessian = problem.hessian;
+  shifted.linear = problem.linear;
+  shifted.groups.resize(n);
+  shifted.caps.assign(n, problem.hi - problem.lo);
   for (std::size_t i = 0; i < n; ++i) {
-    PLOS_DCHECK(result.solution[i] >= problem.lo &&
-                    result.solution[i] <= problem.hi,
-                "BoxQp: solution[" << i << "]=" << result.solution[i]
-                                   << " outside [" << problem.lo << ", "
-                                   << problem.hi << "]");
+    shifted.linear[i] -=
+        problem.lo * linalg::kernels::serial_sum(problem.hessian.row(i));
+    shifted.groups[i] = {i};
   }
+  QpOptions shifted_options = options;
+  for (double& v : shifted_options.warm_start) v -= problem.lo;
 
-  static obs::Counter& solves = obs::metrics().counter("qp.box.solves");
-  static obs::Counter& seconds = obs::metrics().counter("qp.box.seconds");
-  static obs::Histogram& iterations = obs::metrics().histogram(
-      "qp.box.iterations", obs::default_iteration_buckets());
-  solves.increment();
-  seconds.add(watch.elapsed_seconds());
-  iterations.record(static_cast<double>(result.iterations));
+  QpResult result = solve_capped_simplex_qp(shifted, shifted_options);
+  if (result.iterations == 0 && !options.warm_start.empty()) {
+    // The clamped warm start passed as is: return it bitwise, not its
+    // shifted-and-back round trip.
+    result.solution = options.warm_start;
+    project_box(result.solution, problem.lo, problem.hi);
+  } else {
+    for (double& v : result.solution) v += problem.lo;
+  }
+  if (n > 0) {
+    result.objective = PLOS_CHECK_FINITE(objective(problem, result.solution));
+  }
   return result;
 }
 

@@ -1,7 +1,9 @@
 // Box-constrained convex QP:  min ½ xᵀHx − cᵀx  s.t.  lo ≤ x ≤ hi.
 //
-// General-purpose substrate solver (dual of the classic C-SVM has this shape
-// per coordinate block); solved with projected gradient + FISTA restart.
+// Solved by reduction to the capped-simplex solver: with y = x − lo the box
+// becomes y ≥ 0, y_i ≤ hi − lo, i.e. one singleton group per coordinate
+// capped at hi − lo. QpOptions and QpResult keep their capped-simplex
+// meaning (the warm start and the returned point are in x coordinates).
 #pragma once
 
 #include "linalg/matrix.hpp"

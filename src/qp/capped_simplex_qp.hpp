@@ -1,5 +1,5 @@
-// Convex QP over a product of capped simplices, solved with FISTA
-// (accelerated projected gradient) plus adaptive restart.
+// Convex QP over a product of capped simplices, solved exactly by a primal
+// active-set method.
 //
 // This is the dual shape of both PLOS cutting-plane QPs:
 //   * centralized dual (paper Eq. 16): one group per user t with cap T/(2λ);
@@ -10,6 +10,18 @@
 //   subject to  γ ≥ 0,  Σ_{k ∈ group g} γ_k ≤ cap_g  for every group g
 //
 // H must be symmetric PSD. Groups must partition {0, …, n−1}.
+//
+// The working set holds the bound variables (γ_i = 0) and the tight groups
+// (Σ_{k∈g} γ_k = cap_g). Each step eliminates one free member per tight
+// group, factors the reduced free-set Hessian with linalg/cholesky, and
+// moves toward the face minimizer up to the first blocking constraint;
+// at a face minimizer the most negative multiplier (μ_g of a tight group,
+// λ_i = ∇f_i + μ_g of a bound variable) is released. A singular face
+// (duplicate planes, H = 0) is handled exactly: a dependent coordinate is
+// held where it is when f is flat along it, and otherwise the step follows
+// the descent ray to the first blocking constraint. The cutting-plane
+// duals hold tens to a few hundred variables, so each solve is a handful
+// of dense factorizations.
 #pragma once
 
 #include <cstddef>
@@ -28,29 +40,31 @@ struct CappedSimplexQpProblem {
 };
 
 struct QpOptions {
-  /// Stop when the norm of the projected-gradient step falls below this.
+  /// The single stopping rule, used both for the iteration-0 warm check and
+  /// for QpResult::converged: with the working set implied by the point's
+  /// support, every free gradient matches its group's −μ_g and no
+  /// multiplier is below −tolerance·(1 + max|∇f|).
   double tolerance = 1e-9;
+  /// Cap on active-set steps.
   int max_iterations = 5000;
-  /// Optional warm start; projected onto the feasible set before use.
-  /// Cutting-plane loops re-solve a growing problem, so passing the previous
-  /// solution (padded with zeros for new variables) cuts iterations sharply.
-  /// A warm start that already satisfies the convergence test is returned
-  /// unchanged after zero iterations (see QpResult::iterations), which is
-  /// what makes warm-started re-solves bitwise-idempotent.
+  /// Optional warm start; projected onto the feasible set before use, and
+  /// its support seeds the working set. Cutting-plane loops re-solve a
+  /// growing problem, so passing the previous solution (padded with zeros
+  /// for new variables) leaves only a few steps. A warm start that already
+  /// passes the stopping rule is returned unchanged after zero iterations
+  /// (see QpResult::iterations), which is what makes warm-started
+  /// re-solves bitwise-idempotent.
   linalg::Vector warm_start;
-  /// Precomputed gradient Lipschitz constant for `hessian` (the FISTA step
-  /// is 1/L). 0 = estimate internally with lipschitz_estimate(). Callers
-  /// that re-solve with an unchanged Hessian cache the estimate and pass it
-  /// here; because lipschitz_estimate is a pure function of H, supplying
-  /// the cached value is bitwise-neutral (checked builds re-derive it and
-  /// PLOS_DCHECK exact equality).
-  double lipschitz = 0.0;
 };
 
 struct QpResult {
   linalg::Vector solution;
   double objective = 0.0;  ///< f at the solution (minimization form)
-  int iterations = 0;      ///< 0 = the (projected) warm start already passed
+  /// Active-set steps taken; 0 = the (projected) warm start already passed.
+  int iterations = 0;
+  /// The stopping rule holds at `solution`. False after max_iterations, or
+  /// when a numerically singular face left nothing to release; every such
+  /// solve also counts in the qp.capped_simplex.unconverged counter.
   bool converged = false;
 };
 
@@ -63,11 +77,5 @@ QpResult solve_capped_simplex_qp(const CappedSimplexQpProblem& problem,
 /// Near-zero means near-optimal; used by tests and solver diagnostics.
 double kkt_residual(const CappedSimplexQpProblem& problem,
                     std::span<const double> gamma);
-
-/// Power-iteration overestimate of λmax(H), the gradient Lipschitz constant
-/// the FISTA solvers step against. Deterministic pure function of H: both
-/// QP solvers call it when QpOptions::lipschitz is 0, and hot-path callers
-/// memoize it per Hessian version and pass it back via the option.
-double lipschitz_estimate(const linalg::Matrix& h);
 
 }  // namespace plos::qp

@@ -33,6 +33,12 @@ void project_capped_simplex(std::span<double> x, double cap) {
       break;
     }
   }
+  // The descending-order running sum can round to <= cap although the
+  // original-order sum above exceeded it, making theta a rounding-level
+  // negative. Clamp it: a negative shift would lift exact zeros (the
+  // support the QP solver's working set is read from) to tiny positives.
+  // The shave loop below removes what excess remains.
+  theta = std::max(theta, 0.0);
   for (double& v : x) v = std::max(v - theta, 0.0);
 
   // The threshold step can leave the floating-point sum a few ulps ABOVE

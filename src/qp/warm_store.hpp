@@ -12,9 +12,9 @@
 //
 // Plane ids are content-interned (core::PlaneGramCache), so "the same plane"
 // means bitwise-identical s — a seed can never leak across genuinely
-// different constraints. Seeds only initialize the FISTA iterate (which is
-// projected before use); they never alter the problem, so a bad seed can
-// only cost iterations, never correctness.
+// different constraints. Seeds only initialize the active-set iterate and
+// its working set (the iterate is projected before use); they never alter
+// the problem, so a bad seed can only cost iterations, never correctness.
 //
 // Storage is structure-of-arrays: per-slot parallel arrays of plane id and
 // γ, sorted by id. Slots are independent — per-device slots are touched only

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
 #include "net/simnet.hpp"
+#include "obs/flight.hpp"
 #include "obs/journal.hpp"
 #include "rng/engine.hpp"
 
@@ -271,6 +273,51 @@ TEST(AsyncQuorum, PartialQuorumShortensVirtualTime) {
   ASSERT_GT(barrier.async.virtual_seconds, 0.0);
   EXPECT_LT(quorum.async.virtual_seconds,
             0.8 * barrier.async.virtual_seconds);
+}
+
+/// A late upload joins the first aggregate cut after it lands: in the
+/// flight log, no aggregate that could have taken a folded upload (any
+/// step after the one its solve was based on) was cut at or after its
+/// arrival without it.
+TEST(AsyncQuorum, LateUploadsFoldIntoFirstCutAfterArrival) {
+  auto dataset = make_population(10, 0.4, 5, 0.4, 25);
+  net::FaultSpec spec;
+  spec.straggler_probability = 0.3;
+  spec.straggler_slowdown = 8.0;
+  spec.seed = 41;
+  obs::FlightRecorder flight;
+  AsyncQuorumOptions options;
+  options.base = fast_base();
+  options.quorum = 0.6;
+  options.staleness_bound = 1u << 20;
+  options.flight = &flight;
+  net::SimNetwork network(10, net::DeviceProfile{}, net::LinkProfile{});
+  network.set_fault_model(net::FaultModel(spec));
+  train_async_quorum_plos(dataset, options, &network);
+  ASSERT_EQ(flight.dropped(), 0u);
+
+  const std::vector<obs::FlightEvent> events = flight.events();
+  std::map<std::uint64_t, double> cut_at;  // aggregation step -> virtual s
+  for (const obs::FlightEvent& event : events) {
+    if (event.kind == obs::FlightEventKind::kAggregate) {
+      cut_at[event.round] = event.t_start;
+    }
+  }
+  std::size_t folds = 0;
+  for (const obs::FlightEvent& event : events) {
+    if (event.kind != obs::FlightEventKind::kLateFold) continue;
+    ++folds;
+    ASSERT_LE(event.staleness, event.round);
+    for (std::uint64_t step = event.round - event.staleness + 1;
+         step < event.round; ++step) {
+      ASSERT_EQ(cut_at.count(step), 1u);
+      EXPECT_LT(cut_at[step], event.t_start)
+          << "device " << event.device << " landed at " << event.t_start
+          << " but skipped the cut of step " << step << " and folded at "
+          << event.round;
+    }
+  }
+  EXPECT_GT(folds, 0u);
 }
 
 TEST(AsyncQuorum, RejectsInvalidQuorum) {

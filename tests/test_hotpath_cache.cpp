@@ -1,12 +1,12 @@
 // Cache-equivalence suite for the hot-path engine (DESIGN.md §13).
 //
-// The Gram/cutting-plane dot cache and the cached Lipschitz estimates are
-// memoization of pure functions, so they must be BITWISE invisible: for
-// both trainers, at every supported thread count, a run with
-// hotpath_cache=true must produce the same model doubles, the same
-// serialized round journal, and the same integer-exact SimNetwork byte
-// ledgers as a run with hotpath_cache=false. A second set of tests proves
-// the caches are actually ON in the default configuration by asserting the
+// The Gram/cutting-plane dot cache is memoization of a pure function, so
+// it must be BITWISE invisible: for both trainers, at every supported
+// thread count, a run with hotpath_cache=true must produce the same model
+// doubles, the same serialized round journal, and the same integer-exact
+// SimNetwork byte ledgers as a run with hotpath_cache=false. A second set
+// of tests proves
+// the cache is actually ON in the default configuration by asserting the
 // obs counters record real reuse — equivalence alone would also pass if the
 // cache silently never engaged.
 #include <gtest/gtest.h>
@@ -157,17 +157,14 @@ struct CounterSnapshot {
   double planes_reused;
   double warm_store_hits;
   double warm_hits;
-  double lipschitz_reuses;
 };
 
-CounterSnapshot snapshot(const char* warm_hit_counter,
-                         const char* lipschitz_counter) {
+CounterSnapshot snapshot(const char* warm_hit_counter) {
   auto& registry = obs::metrics();
   return {registry.counter("plos.gram_cache.dots_reused").value(),
           registry.counter("plos.gram_cache.planes_reused").value(),
           registry.counter("qp.warm_store.hits").value(),
-          registry.counter(warm_hit_counter).value(),
-          registry.counter(lipschitz_counter).value()};
+          registry.counter(warm_hit_counter).value()};
 }
 
 TEST(CacheCounters, CentralizedRunRecordsReuse) {
@@ -177,8 +174,7 @@ TEST(CacheCounters, CentralizedRunRecordsReuse) {
   registry.reset_values();
   (void)train_centralized_plos(dataset,
                                centralized_options(1, true, nullptr));
-  const auto counters = snapshot("qp.capped_simplex.warm_hits",
-                                 "qp.capped_simplex.lipschitz_reuses");
+  const auto counters = snapshot("qp.capped_simplex.warm_hits");
   registry.set_enabled(false);
 
   // Cross-iteration dual re-solves and the sign-fitting inner loops hit the
@@ -194,15 +190,11 @@ TEST(CacheCounters, DistributedRunRecordsReuse) {
   registry.reset_values();
   (void)train_distributed_plos(dataset, distributed_options(1, true, nullptr),
                                nullptr);
-  const auto counters = snapshot("qp.capped_simplex.warm_hits",
-                                 "qp.capped_simplex.lipschitz_reuses");
+  const auto counters = snapshot("qp.capped_simplex.warm_hits");
   registry.set_enabled(false);
 
   EXPECT_GT(counters.dots_reused, 0.0);
   EXPECT_GT(counters.warm_store_hits, 0.0);
-  // Per-device prox-QPs re-solve against an unchanged Hessian once per ADMM
-  // iteration — the memoized Lipschitz estimate must be reused there.
-  EXPECT_GT(counters.lipschitz_reuses, 0.0);
 }
 
 TEST(CacheCounters, DisabledCacheRecordsNoDotReuse) {
@@ -214,15 +206,12 @@ TEST(CacheCounters, DisabledCacheRecordsNoDotReuse) {
                                nullptr);
   const double dots_reused =
       registry.counter("plos.gram_cache.dots_reused").value();
-  const double lipschitz_reuses =
-      registry.counter("qp.capped_simplex.lipschitz_reuses").value();
   registry.set_enabled(false);
 
   // hotpath_cache=false disables memoization only (interning and warm-start
-  // seeding are algorithm state and stay on), so dot/Lipschitz reuse must
-  // be exactly zero.
+  // seeding are algorithm state and stay on), so dot reuse must be exactly
+  // zero.
   EXPECT_EQ(dots_reused, 0.0);
-  EXPECT_EQ(lipschitz_reuses, 0.0);
 }
 
 }  // namespace

@@ -146,6 +146,62 @@ TEST(Cholesky, SolveRecoversSolution) {
   EXPECT_TRUE(approx_equal(*x, x_true, 1e-10));
 }
 
+TEST(Matrix, GrowSquareKeepsEntriesAndZeroesBorder) {
+  Matrix m(2, 2);
+  m(0, 0) = 1.0;
+  m(0, 1) = 2.0;
+  m(1, 0) = 3.0;
+  m(1, 1) = 4.0;
+  m.grow_square(4);
+  ASSERT_EQ(m.rows(), 4u);
+  ASSERT_EQ(m.cols(), 4u);
+  EXPECT_EQ(m(0, 0), 1.0);
+  EXPECT_EQ(m(0, 1), 2.0);
+  EXPECT_EQ(m(1, 0), 3.0);
+  EXPECT_EQ(m(1, 1), 4.0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 2; j < 4; ++j) {
+      EXPECT_EQ(m(i, j), 0.0);
+      EXPECT_EQ(m(j, i), 0.0);
+    }
+  }
+  EXPECT_THROW(m.grow_square(3), PreconditionError);
+}
+
+TEST(Cholesky, AppendRowMatchesFullFactorAndRejectsDependentRow) {
+  // A = B Bᵀ for B with rows b0, b1, b0 + b1: the third row of A is
+  // dependent on the first two.
+  const Matrix b = Matrix::from_rows({{1.0, 2.0, 0.5}, {-1.0, 0.5, 2.0}});
+  const Matrix a2 = b.row_gram();
+  const auto full = cholesky(a2);
+  ASSERT_TRUE(full.has_value());
+
+  constexpr std::size_t kStride = 3;
+  Vector l(kStride * kStride, 0.0);
+  for (std::size_t n = 0; n < 2; ++n) {
+    std::span<double> row(l.data() + n * kStride, kStride);
+    for (std::size_t j = 0; j <= n; ++j) row[j] = a2(n, j);
+    ASSERT_TRUE(cholesky_append_row(l, kStride, n, row, 1e-12));
+    for (std::size_t j = 0; j <= n; ++j) {
+      EXPECT_NEAR(row[j], (*full)(n, j), 1e-12);
+    }
+  }
+  Vector rhs{1.0, -2.0};
+  const Vector expected = cholesky_solve(*full, rhs);
+  cholesky_forward_in_place(l, kStride, 2, rhs);
+  cholesky_backward_in_place(l, kStride, 2, rhs);
+  EXPECT_NEAR(rhs[0], expected[0], 1e-12);
+  EXPECT_NEAR(rhs[1], expected[1], 1e-12);
+
+  // Row of A for b0 + b1 against (b0, b1), then its own square norm.
+  const double g00 = a2(0, 0), g01 = a2(0, 1), g11 = a2(1, 1);
+  std::span<double> row(l.data() + 2 * kStride, kStride);
+  row[0] = g00 + g01;
+  row[1] = g01 + g11;
+  row[2] = g00 + 2.0 * g01 + g11;
+  EXPECT_FALSE(cholesky_append_row(l, kStride, 2, row, 1e-12));
+}
+
 TEST(Eigen, DiagonalMatrix) {
   const Matrix a = Matrix::from_rows({{3.0, 0.0}, {0.0, 1.0}});
   const auto eig = symmetric_eigen(a);

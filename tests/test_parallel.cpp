@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -68,28 +67,18 @@ TEST(ThreadPool, StaticChunkingIsContiguousAndAscending) {
     owner[i] = std::this_thread::get_id();
     order[i] = clock.fetch_add(1, std::memory_order_relaxed);
   });
-  // Each executing thread owns one contiguous index range...
-  std::map<std::thread::id, std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t i = 0; i < kN; ++i) {
-    auto [it, inserted] = ranges.try_emplace(owner[i], i, i);
-    if (!inserted) {
-      it->second.first = std::min(it->second.first, i);
-      it->second.second = std::max(it->second.second, i);
+  // The contract fixes the index→chunk map, not the chunk→thread map: a
+  // worker may pop two chunks. So each chunk [k·n/c, (k+1)·n/c) must run
+  // on a single thread, in ascending index order.
+  constexpr std::size_t kChunks = 4;
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    const std::size_t begin = k * kN / kChunks;
+    const std::size_t end = (k + 1) * kN / kChunks;
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      EXPECT_EQ(owner[i], owner[begin]) << "chunk " << k << " split at " << i;
+      EXPECT_LT(order[i - 1], order[i]) << "chunk " << k << " at " << i;
     }
   }
-  std::size_t covered = 0;
-  for (const auto& [tid, range] : ranges) {
-    for (std::size_t i = range.first; i <= range.second; ++i) {
-      EXPECT_EQ(owner[i], tid) << "chunk not contiguous at index " << i;
-    }
-    covered += range.second - range.first + 1;
-    // ...and runs it in ascending index order.
-    for (std::size_t i = range.first; i < range.second; ++i) {
-      EXPECT_LT(order[i], order[i + 1]);
-    }
-  }
-  EXPECT_EQ(covered, kN);
-  EXPECT_LE(ranges.size(), 4u);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {

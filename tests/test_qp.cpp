@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "obs/metrics.hpp"
 #include "qp/box_qp.hpp"
 #include "qp/capped_simplex_qp.hpp"
 #include "qp/projection.hpp"
@@ -150,6 +151,39 @@ TEST(CappedSimplexQp, KktResidualSmallAtSolution) {
   EXPECT_LT(kkt_residual(tiny_problem(), result.solution), 1e-5);
   // And clearly non-small away from it.
   EXPECT_GT(kkt_residual(tiny_problem(), Vector{0.0, 0.0}), 0.1);
+}
+
+TEST(CappedSimplexQp, StepCapReportsUnconvergedAndCounts) {
+  // Cold start at 0 frees one variable per step, and the optimum of this
+  // instance has two positive coordinates in two groups, so one step
+  // cannot reach it.
+  CappedSimplexQpProblem p;
+  p.hessian = Matrix::identity(3);
+  p.linear = {0.5, 0.25, -1.0};
+  p.groups = {{0, 2}, {1}};
+  p.caps = {1.0, 1.0};
+  QpOptions options;
+  options.max_iterations = 1;
+
+  auto& registry = obs::metrics();
+  registry.set_enabled(true);
+  registry.reset_values();
+  const auto capped = solve_capped_simplex_qp(p, options);
+  const double unconverged =
+      registry.counter("qp.capped_simplex.unconverged").value();
+  const auto full = solve_capped_simplex_qp(p);
+  const double after_full =
+      registry.counter("qp.capped_simplex.unconverged").value();
+  registry.set_enabled(false);
+
+  EXPECT_EQ(capped.iterations, 1);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(unconverged, 1.0);
+  EXPECT_TRUE(full.converged);
+  EXPECT_EQ(after_full, 1.0);  // a converged solve leaves the counter alone
+  EXPECT_NEAR(full.solution[0], 0.5, 1e-12);
+  EXPECT_NEAR(full.solution[1], 0.25, 1e-12);
+  EXPECT_EQ(full.solution[2], 0.0);
 }
 
 // Property: on random PSD problems with random group structure the solver's

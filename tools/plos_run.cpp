@@ -136,7 +136,7 @@ void print_usage() {
       "                             folds, evictions, quorum cuts; needs\n"
       "                             --async; '-' = stdout; explore with\n"
       "                             'plos_inspect timeline')\n"
-      "  --no-hotpath-cache         disable the Gram/Lipschitz memoization\n"
+      "  --no-hotpath-cache         disable the Gram-dot memoization\n"
       "                             (PLOS_NO_HOTPATH_CACHE=1 does the same);\n"
       "                             results are bitwise identical, only slower\n"
       "  --logistic                 use the logistic-loss PLOS variant\n"
@@ -739,6 +739,8 @@ int main(int argc, char** argv) {
       results["admm_iterations"] =
           static_cast<double>(diagnostics.admm_iterations_total);
       results["qp_solves"] = static_cast<double>(diagnostics.qp_solves);
+      results["qp_unconverged"] =
+          static_cast<double>(diagnostics.qp_unconverged);
       if (!diagnostics.objective_trace.empty()) {
         results["final_objective"] = diagnostics.objective_trace.back();
       }
@@ -803,6 +805,8 @@ int main(int argc, char** argv) {
       results["cccp_rounds"] =
           static_cast<double>(result.diagnostics.cccp_iterations);
       results["qp_solves"] = static_cast<double>(result.diagnostics.qp_solves);
+      results["qp_unconverged"] =
+          static_cast<double>(result.diagnostics.qp_unconverged);
       results["constraints"] =
           static_cast<double>(result.diagnostics.final_constraint_count);
       if (!result.diagnostics.objective_trace.empty()) {
