@@ -1,5 +1,8 @@
-// Ablation 7 — asynchronous distributed PLOS (§VII future work): accuracy,
-// ADMM iterations, and per-device traffic as device participation drops.
+// Ablation 7 — partial participation in distributed PLOS (§VII future
+// work): accuracy, ADMM iterations, and per-device traffic as the fault
+// schedule's per-round churn (FaultSpec::offline_probability) rises, i.e.
+// as expected participation 1 - offline drops. Offline devices keep their
+// last upload in force on the server.
 // Expected shape: accuracy degrades gracefully; iterations to converge grow
 // as staleness rises, but per-round traffic falls proportionally.
 #include <benchmark/benchmark.h>
@@ -7,6 +10,7 @@
 #include <numbers>
 
 #include "bench_support.hpp"
+#include "net/fault.hpp"
 #include "net/simnet.hpp"
 #include "rng/engine.hpp"
 
@@ -25,46 +29,57 @@ data::MultiUserDataset make_dataset() {
   return dataset;
 }
 
-core::AsyncDistributedPlosOptions make_options(double participation) {
-  core::AsyncDistributedPlosOptions options;
-  options.base = bench::bench_distributed_options();
-  options.base.cutting_plane.epsilon = 5e-2;
-  options.base.cccp.max_iterations = 3;
-  options.participation = participation;
+core::DistributedPlosOptions make_options() {
+  core::DistributedPlosOptions options = bench::bench_distributed_options();
+  options.cutting_plane.epsilon = 5e-2;
+  options.cccp.max_iterations = 3;
   return options;
+}
+
+/// Trains on a network whose fault schedule takes each device offline for
+/// a round with probability `offline`.
+core::DistributedPlosResult train_with_churn(
+    const data::MultiUserDataset& dataset, double offline,
+    net::SimNetwork& network) {
+  net::FaultSpec spec;
+  spec.offline_probability = offline;
+  spec.seed = 7;
+  network.set_fault_model(net::FaultModel(spec));
+  return core::train_distributed_plos(dataset, make_options(), &network);
 }
 
 void print_figure() {
   bench::print_title(
-      "Ablation 7: async distributed PLOS vs participation rate");
+      "Ablation 7: distributed PLOS vs per-round churn (offline probability)");
   const std::vector<std::string> names{"acc_label", "acc_unlabel",
                                        "admm_iters", "overhead_kb"};
-  bench::print_header("participation", names);
+  bench::print_header("offline", names);
 
   const auto dataset = make_dataset();
-  for (double p : {1.0, 0.8, 0.6, 0.4, 0.2}) {
+  for (double offline : {0.0, 0.2, 0.4, 0.6, 0.8}) {
     net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
                             net::LinkProfile{});
-    const auto result =
-        core::train_async_distributed_plos(dataset, make_options(p), &network);
+    const auto result = train_with_churn(dataset, offline, network);
     const auto report =
         core::evaluate(dataset, core::predict_all(dataset, result.model));
     bench::print_row(
-        p, std::vector<double>{
-               report.providers, report.non_providers,
-               static_cast<double>(result.diagnostics.admm_iterations_total),
-               network.mean_bytes_per_device() / 1024.0});
+        offline, std::vector<double>{
+                     report.providers, report.non_providers,
+                     static_cast<double>(
+                         result.diagnostics.admm_iterations_total),
+                     network.mean_bytes_per_device() / 1024.0});
   }
 }
 
-void BM_AsyncDistributedHalfParticipation(benchmark::State& state) {
+void BM_HalfParticipationChurn(benchmark::State& state) {
   const auto dataset = make_dataset();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::train_async_distributed_plos(dataset, make_options(0.5)));
+    net::SimNetwork network(dataset.num_users(), net::DeviceProfile{},
+                            net::LinkProfile{});
+    benchmark::DoNotOptimize(train_with_churn(dataset, 0.5, network));
   }
 }
-BENCHMARK(BM_AsyncDistributedHalfParticipation)
+BENCHMARK(BM_HalfParticipationChurn)
     ->Unit(benchmark::kMillisecond)
     ->Apply(plos::bench::bench_time_config);
 

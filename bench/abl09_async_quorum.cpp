@@ -1,10 +1,10 @@
-// Ablation 9 — asynchronous bounded-staleness quorum (src/async): accuracy
-// and simulated wall-clock of distributed PLOS when the round barrier is
+// Ablation 9 — asynchronous bounded-staleness quorum: accuracy and
+// simulated wall-clock of distributed PLOS when the round barrier is
 // replaced by quorum aggregation, on a straggler-heavy fleet (30% of the
 // devices are chronic stragglers with 6x-slower CPUs). The synchronous
-// baseline is the degenerate async run (quorum 1.0, no deadlines), which
-// the engine reproduces bit for bit and whose virtual clock is the barrier
-// schedule. Expected shape: a 60% quorum reaches the synchronous run's
+// baseline is the degenerate async run (quorum 1.0, no deadlines) — the
+// synchronous trainer's own configuration of the one round engine — whose
+// virtual clock is the barrier schedule. Expected shape: a 60% quorum reaches the synchronous run's
 // final accuracy (within one point, entered and never left) in well under
 // 0.6x the barrier's simulated wall-clock — the slow devices stop pacing
 // the fleet, and their uploads keep folding in late under the staleness

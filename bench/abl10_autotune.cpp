@@ -1,4 +1,4 @@
-// Ablation 10 — journal-driven quorum/staleness auto-tuning (src/async):
+// Ablation 10 — journal-driven quorum/staleness auto-tuning (core/autotune):
 // the observability controller (--auto-tune) against the hand-tuned knobs
 // ablation 9 found for the same chronic-straggler fleet (30% of devices on
 // 6x-slower CPUs, compute-bound solves). The controller starts from

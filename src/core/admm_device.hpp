@@ -1,13 +1,6 @@
-// The per-device half of distributed ADMM, shared by the synchronous round
-// engine (core/distributed_plos) and the asynchronous quorum engine
-// (src/async).
-//
-// Extracted so both engines run the exact same local-solver code path:
-// the degenerate-equivalence contract (DESIGN.md §14 — async with a 100%
-// quorum and no deadlines is bitwise-identical to the synchronous engine)
-// only holds if a device's bootstrap, CCCP linearization, cutting-plane
-// working set, dual QP, and wire serialization are literally the same
-// instructions in both engines, not parallel reimplementations.
+// The per-device half of distributed ADMM, driven by the round engine
+// (core/admm_engine): a device's bootstrap, CCCP linearization,
+// cutting-plane working set, dual QP, and wire serialization.
 //
 // One AdmmDevice owns one simulated device: its raw data, CCCP signs, the
 // cutting-plane working set of the current CCCP round, and the hot-path
@@ -46,7 +39,7 @@ std::vector<std::uint8_t> admm_update_payload(std::span<const double> w,
 /// graceful-degradation diagnostics after each ADMM iteration.
 enum DeviceRoundStatus : char {
   kParticipated = 0,
-  kUnavailable = 1,     // async schedule said unavailable
+  kUnavailable = 1,     // reserved (keeps journal cause_counts' width)
   kOffline = 2,         // fault schedule churn window
   kDownlinkFailed = 3,  // broadcast lost after all retries
   kDeadlineMissed = 4,  // straggler; server stopped waiting
@@ -122,9 +115,7 @@ class AdmmDevice {
 /// Server-side freshness bookkeeping behind the journal's staleness
 /// fields. Tracks, per device, the aggregation step whose data the
 /// server's cached block (w_t, v_t, ξ_t) was computed in; a block's age
-/// at step k is the number of steps its data lags behind k. Both round
-/// engines maintain the ledger identically (the synchronous engine just
-/// never evicts), which keeps degenerate-mode journals byte-identical.
+/// at step k is the number of steps its data lags behind k.
 class StalenessLedger {
  public:
   /// Buckets of the journal staleness histogram; the last is open-ended.
@@ -142,7 +133,7 @@ class StalenessLedger {
   /// Max age over all blocks at step `step`.
   std::uint64_t max_age(std::uint64_t step) const;
 
-  /// Bucket layout of the fleet staleness sketch both engines journal
+  /// Bucket layout of the fleet staleness sketch the journal carries
   /// (sub-integer resolution up to 16 rounds, ~12% relative beyond).
   static obs::QuantileSketch::Spec staleness_sketch_spec() {
     return obs::QuantileSketch::Spec{/*min_value=*/1.0,

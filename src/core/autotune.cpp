@@ -1,11 +1,11 @@
-#include "async/autotune.hpp"
+#include "core/autotune.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/assert.hpp"
 
-namespace plos::async {
+namespace plos::core {
 
 AutoTuner::AutoTuner(const AutoTuneConfig& config, double initial_quorum,
                      std::uint64_t initial_bound)
@@ -96,4 +96,4 @@ AutoTuneDecision AutoTuner::observe(const obs::RoundRecord& record) {
   return decision;
 }
 
-}  // namespace plos::async
+}  // namespace plos::core

@@ -1,4 +1,5 @@
-// Journal-driven quorum/staleness auto-tuning for the async engine.
+// Journal-driven quorum/staleness auto-tuning for the ADMM round engine
+// (core/admm_engine.hpp).
 //
 // ROADMAP item 4's open half: instead of hand-tuned `--quorum` and
 // `--staleness-bound` values, the controller reads the fleet staleness
@@ -29,7 +30,7 @@
 
 #include "obs/journal.hpp"
 
-namespace plos::async {
+namespace plos::core {
 
 struct AutoTuneConfig {
   bool enabled = false;
@@ -90,4 +91,4 @@ class AutoTuner {
   int tighten_streak_ = 0;
 };
 
-}  // namespace plos::async
+}  // namespace plos::core

@@ -15,19 +15,26 @@
 //                 u_t ← u_t + (w_t − w0 − v_t),
 //              and the residual stopping rule (Eq. 24).
 //
+// The rounds run on the one ADMM round engine (core/admm_engine.hpp) in its
+// degenerate configuration: quorum 1.0, no per-device deadline, unbounded
+// staleness, no tuner. The asynchronous trainer (async/async_admm.hpp) is
+// the same engine with a partial quorum, so "sync ≡ degenerate async"
+// holds by construction (DESIGN.md §14).
+//
 // When a net::SimNetwork is supplied, every exchanged message is serialized
 // to wire format and charged byte-exactly, and measured solver time is
 // charged to simulated device/server CPUs (Figures 11-13).
 //
 // Fault tolerance (DESIGN.md §9): when the supplied network carries an
 // enabled net::FaultModel, rounds degrade to partial participation instead
-// of failing — offline devices are skipped for the round, messages travel
-// as CRC32-checked frames with bounded retry/backoff, straggling devices
-// past the round deadline are left behind, and the server's Eq. 23 update
-// runs over the participating subset while missing/stale devices keep
-// their last cached (w_t, v_t) and dual u_t. All participation decisions
-// derive from the counter-based fault schedule — never from measured wall
-// time — so faulty runs remain bitwise-deterministic at any thread count.
+// of failing — offline devices are skipped for the round (the schedule's
+// churn is also how partial participation is modeled), messages travel as
+// CRC32-checked frames with bounded retry/backoff, straggling devices past
+// the round deadline are left behind, and the server's Eq. 23 update runs
+// over the participating subset while missing/stale devices keep their
+// last cached (w_t, v_t) and dual u_t. All participation decisions derive
+// from the counter-based fault schedule — never from measured wall time —
+// so faulty runs remain bitwise-deterministic at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -121,23 +128,6 @@ struct DistributedPlosResult {
 DistributedPlosResult train_distributed_plos(
     const data::MultiUserDataset& dataset,
     const DistributedPlosOptions& options = {},
-    net::SimNetwork* network = nullptr);
-
-/// Asynchronous variant (paper §VII future work): per ADMM iteration each
-/// device responds only with probability `participation` (modeling slow or
-/// sleeping phones); non-responders' last uploaded (w_t, v_t, ξ_t) stay in
-/// force on the server, and their dual variables u_t are refreshed only
-/// when they next respond. participation = 1 reduces to the synchronous
-/// algorithm exactly.
-struct AsyncDistributedPlosOptions {
-  DistributedPlosOptions base;
-  double participation = 0.7;        ///< in (0, 1]
-  std::uint64_t schedule_seed = 7;   ///< device availability randomness
-};
-
-DistributedPlosResult train_async_distributed_plos(
-    const data::MultiUserDataset& dataset,
-    const AsyncDistributedPlosOptions& options = {},
     net::SimNetwork* network = nullptr);
 
 }  // namespace plos::core

@@ -1,11 +1,11 @@
-#include "async/latency.hpp"
+#include "core/latency.hpp"
 
 #include <limits>
 
 #include "common/assert.hpp"
 #include "net/fault.hpp"
 
-namespace plos::async {
+namespace plos::core {
 
 namespace {
 
@@ -76,4 +76,4 @@ double AdaptiveDeadlines::ewma(std::size_t device) const {
   return ewma_[device];
 }
 
-}  // namespace plos::async
+}  // namespace plos::core

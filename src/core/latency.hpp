@@ -1,7 +1,7 @@
 // Virtual completion-time model and adaptive per-device deadlines for the
-// asynchronous quorum engine (async/async_admm.hpp).
+// ADMM round engine (core/admm_engine.hpp).
 //
-// The async engine is driven entirely by the simulated clock: a device's
+// The engine is driven entirely by the simulated clock: a device's
 // round trip "takes" downlink + compute + uplink virtual seconds, where the
 // link terms are exactly what SimNetwork charged to its ledgers (including
 // retry backoff under fault injection) and the compute term is a
@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace plos::async {
+namespace plos::core {
 
 struct LatencyModelSpec {
   /// Fixed virtual seconds per local solve, before CPU scaling.
@@ -69,4 +69,4 @@ class AdaptiveDeadlines {
   std::vector<char> observed_;
 };
 
-}  // namespace plos::async
+}  // namespace plos::core

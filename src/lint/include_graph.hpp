@@ -1,11 +1,9 @@
-// Whole-tree include graph and the declarative layering DAG
-// (DESIGN.md §16).
+// Include parsing and the declarative layering DAG (DESIGN.md §16).
 //
-// The include graph is built from scrubbed sources (lexer.hpp): quoted
-// include targets are resolved against the project file set the same way
-// the build resolves them — relative to src/ (the single include root) or
-// to the including file's directory. Angle includes never re-enter the
-// project.
+// Includes are parsed from scrubbed sources (lexer.hpp); every quoted
+// include names its target module by its first path component, resolved
+// relative to src/ (the single include root). Angle includes never name a
+// project module.
 //
 // The layering DAG lives in tools/lint_layers.json: every top-level module
 // (src/<name>, plus the tools/bench/tests/examples roots) declares the
@@ -17,16 +15,11 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace plos::lint {
-
-/// Repo-relative path → file contents (mirrors lint.hpp's FileSet; kept
-/// here too so this header stands alone).
-using IncludeFileSet = std::map<std::string, std::string>;
 
 /// One #include directive parsed out of scrubbed text.
 struct Include {
@@ -37,19 +30,6 @@ struct Include {
 
 /// Parses every #include out of scrubbed source lines (1-based lines).
 std::vector<Include> parse_includes(std::string_view scrubbed);
-
-/// Resolves an include string against the project file set. Returns the
-/// contents and sets `resolved` to the repo-relative path, or nullptr.
-const std::string* resolve_include(const IncludeFileSet& project,
-                                   const std::string& from,
-                                   const std::string& target,
-                                   std::string* resolved);
-
-/// Does `target` (an include string) reach a header whose include path
-/// starts with `forbidden`, following project includes depth-first?
-bool include_reaches(const IncludeFileSet& project, const std::string& from,
-                     const std::string& target, const std::string& forbidden,
-                     std::set<std::string>& visited);
 
 /// The declarative layering DAG: module name → modules it may include.
 /// A module whose allow-list is exactly {"*"} sits in the top layer and

@@ -4,8 +4,8 @@
 // byte ledgers at any thread count) and the federated privacy boundary
 // (raw rows never cross the network layer) are enforced dynamically by the
 // equivalence suites and golden manifests. This analyzer enforces them
-// statically: a deterministic C++ token stream (lexer.hpp), a whole-tree
-// include graph with a declarative layering DAG (include_graph.hpp), and
+// statically: a deterministic C++ token stream (lexer.hpp), a declarative
+// layering DAG over every include edge (include_graph.hpp), and
 // token-level semantic rule families (rules_semantic.hpp) on top of the
 // original line/regex catalog — no libclang — that reject nondeterminism,
 // contract-free numeric code, and undeclared module edges before they run.
@@ -54,7 +54,6 @@ enum class RuleKind {
   kPragmaOnce,            ///< headers must contain #pragma once
   kIncludeOrder,          ///< own-header first; angle block before quoted
   kUsingNamespaceHeader,  ///< `using namespace` in a header
-  kForbiddenInclude,      ///< (transitive) include of a banned header prefix
   kRaceSurface,           ///< unsynchronized shared write in a pool lambda
   kAccumulationOrder,     ///< loop-carried double fold outside linalg::kernels
   kLayering,              ///< include edge not declared in the layering DAG
@@ -68,8 +67,6 @@ struct Rule {
   std::vector<std::string> patterns;     ///< kBannedPattern: ECMAScript regexes
   std::vector<std::string> paths;        ///< apply only under these prefixes (empty = everywhere)
   std::vector<std::string> allow_paths;  ///< exempt these prefixes
-  std::string forbidden;                 ///< kForbiddenInclude: include-path prefix
-  bool transitive = false;               ///< kForbiddenInclude: follow project includes
 };
 
 struct Config {
@@ -92,11 +89,9 @@ using FileSet = std::map<std::string, std::string>;
 // strip_comments_and_strings / tokenize live in lint/lexer.hpp (included
 // above) — the scrubber is the lexer's first stage.
 
-/// Lints one file. `project` (optional) supplies the rest of the tree for
-/// include-graph rules. Suppressions already applied; sorted by line.
+/// Lints one file. Suppressions already applied; sorted by line.
 std::vector<Finding> lint_source(const Config& config, const std::string& path,
-                                 std::string_view source,
-                                 const FileSet* project = nullptr);
+                                 std::string_view source);
 
 /// Lints every file in the set; findings sorted by (file, line, rule).
 /// `threads` > 1 scans files on a parallel::ThreadPool; results are merged

@@ -1,6 +1,6 @@
 // Deterministic event queue for the asynchronous round engine.
 //
-// The async ADMM server (src/async) is event-driven: device uploads
+// The ADMM round engine (core/admm_engine) is event-driven: device uploads
 // "arrive" at deterministic virtual completion times on the simulated
 // clock, and the server cuts a round when a quorum of them is in. For the
 // bitwise-determinism contract (DESIGN.md §8) to survive, the order in

@@ -50,8 +50,8 @@ struct RoundRecord {
   std::uint64_t retries = 0;           ///< retransmissions this step
 
   // Aggregation freshness (distributed trainers; zeros for centralized).
-  // The synchronous engine reports quorum_size == participants and never
-  // evicts; the async quorum engine (src/async) fills all of them.
+  // A synchronous run reports quorum_size == participants and never
+  // evicts; an async quorum run (core/admm_engine) fills all of them.
   std::uint64_t quorum_size = 0;   ///< fresh uploads aggregated this step
   std::uint64_t late_uploads = 0;  ///< cached late uploads folded this step
   std::uint64_t evictions_offline = 0;  ///< stale blocks reset: device offline
@@ -79,7 +79,7 @@ struct RoundRecord {
   double lat_p90 = kUnset;
   double lat_p99 = kUnset;
   /// Device-outcome tally for the step, indexed by core::DeviceRoundStatus
-  /// (participated, unavailable, offline, ...). One count per device —
+  /// (participated, reserved, offline, ...). One count per device —
   /// the fleet participation distribution. Empty for centralized runs.
   std::vector<std::uint64_t> cause_counts;
 

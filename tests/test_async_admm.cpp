@@ -1,7 +1,7 @@
-// Tests for the asynchronous bounded-staleness quorum engine: degenerate
-// bitwise equivalence with the synchronous trainer, cross-thread byte
-// identity, the bounded-staleness property, and the latency/deadline
-// model.
+// Tests for the asynchronous bounded-staleness quorum schedule: the
+// synchronous trainer picks the engine's degenerate configuration (bitwise
+// equal runs), cross-thread byte identity, the bounded-staleness property,
+// and the latency/deadline model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "async/async_admm.hpp"
-#include "async/autotune.hpp"
-#include "async/latency.hpp"
 #include "common/assert.hpp"
+#include "core/autotune.hpp"
+#include "core/latency.hpp"
 #include "core/distributed_plos.hpp"
 #include "data/labeling.hpp"
 #include "data/synthetic.hpp"
@@ -24,6 +24,13 @@
 
 namespace plos::async {
 namespace {
+
+using core::AdaptiveDeadlines;
+using core::AutoTuneConfig;
+using core::AutoTuneDecision;
+using core::AutoTuner;
+using core::completion_seconds;
+using core::LatencyModelSpec;
 
 data::MultiUserDataset make_population(std::size_t num_users,
                                        double max_rotation,
@@ -54,8 +61,9 @@ core::DistributedPlosOptions fast_base() {
   return options;
 }
 
-/// Degenerate configuration: 100% quorum, no deadlines — contractually
-/// bit-identical to the synchronous engine.
+/// Degenerate configuration: 100% quorum, no deadlines — the configuration
+/// train_distributed_plos runs the engine in, so both entry points must
+/// agree bit for bit.
 AsyncQuorumOptions degenerate_options(std::uint64_t staleness_bound = 0) {
   AsyncQuorumOptions options;
   options.base = fast_base();

@@ -188,5 +188,30 @@ TEST(DistributedPlos, MultiThreadedTrainingMatchesSerialBitwise) {
   EXPECT_EQ(serial_net.rounds_completed(), threaded_net.rounds_completed());
 }
 
+TEST(DistributedPlos, NullNetworkNeverChangesTheNumerics) {
+  // Without a network the engine does no accounting and every completion
+  // time is 0; a fault-free network only adds ledgers and virtual time.
+  // Neither may reach the model or the ADMM trajectory.
+  auto dataset = make_population(5, 0.4, 3, 0.4, 23, 20);
+  net::SimNetwork network(5, net::DeviceProfile{}, net::LinkProfile{});
+  const auto bare = train_distributed_plos(dataset, fast_options(), nullptr);
+  const auto accounted =
+      train_distributed_plos(dataset, fast_options(), &network);
+  EXPECT_GT(network.rounds_completed(), 0u);
+  EXPECT_TRUE(linalg::approx_equal(bare.model.global_weights,
+                                   accounted.model.global_weights, 0.0));
+  for (std::size_t t = 0; t < 5; ++t) {
+    EXPECT_TRUE(linalg::approx_equal(bare.model.user_deviations[t],
+                                     accounted.model.user_deviations[t], 0.0));
+  }
+  EXPECT_EQ(bare.diagnostics.objective_trace,
+            accounted.diagnostics.objective_trace);
+  EXPECT_EQ(bare.diagnostics.primal_residual_trace,
+            accounted.diagnostics.primal_residual_trace);
+  EXPECT_EQ(bare.diagnostics.dual_residual_trace,
+            accounted.diagnostics.dual_residual_trace);
+  EXPECT_EQ(bare.diagnostics.qp_solves, accounted.diagnostics.qp_solves);
+}
+
 }  // namespace
 }  // namespace plos::core

@@ -71,7 +71,7 @@ struct Args {
   double fault_straggler = 0.0;
   double fault_corrupt = 0.0;
   double round_deadline = 0.0;  // simulated seconds; 0 = wait for stragglers
-  // Asynchronous quorum engine (src/async); implies --distributed.
+  // Asynchronous quorum schedule (async/async_admm); implies --distributed.
   bool async_mode = false;
   double quorum = 0.6;
   std::uint64_t staleness_bound = 3;
